@@ -174,6 +174,13 @@ double time_best_ms(Fn&& fn, int warmup = 2, int reps = 5) {
   return best;
 }
 
+struct DeepShape {
+  int m, k, n;
+};
+// fp32 GEMMs the deepest 32 px convs lower to (m = out_c, k = in_c*kh*kw,
+// n = oh*ow): a 1x1 conv on a 1x1 map, a 3x3 conv on 1x1 and on 2x2 maps.
+constexpr DeepShape kDeepShapes[] = {{2048, 512, 1}, {512, 4608, 1}, {256, 2304, 4}};
+
 int run_json_sweep(const std::string& path) {
   util::Rng rng(42);
   std::vector<KernelRecord> records;
@@ -201,6 +208,9 @@ int run_json_sweep(const std::string& path) {
 
     for (const int s : {64, 128, 256, 512})
       gemm_like("gemm", s, s, s, tensor::gemm);
+    // Deep-layer shapes of the 32 px zoo trunks: output width n = oh*ow is
+    // 1-4 there, the narrow-N regime, not the square shapes above.
+    for (const DeepShape& s : kDeepShapes) gemm_like("gemm", s.m, s.k, s.n, tensor::gemm);
     // Transposed variants at the shapes Conv2D::backward exercises. Operand
     // layouts differ from plain gemm ([k x m] A, [n x k] B) but the random
     // fill only cares about element count, so the timing is representative.
@@ -212,21 +222,24 @@ int run_json_sweep(const std::string& path) {
     // Integer GEMM (uint8 activations x int8 weights -> int32), the engine
     // of the quantized inference path. MACs counted as 2 ops like fp32 so
     // the gflops column is directly comparable.
-    for (const int s : {64, 128, 256, 512}) {
-      std::vector<std::int8_t> a(static_cast<std::size_t>(s) * s);
-      std::vector<std::uint8_t> b(static_cast<std::size_t>(s) * s);
-      std::vector<std::int32_t> c(static_cast<std::size_t>(s) * s);
+    auto s8u8_like = [&](int m, int k, int n) {
+      std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
+      std::vector<std::uint8_t> b(static_cast<std::size_t>(k) * n);
+      std::vector<std::int32_t> c(static_cast<std::size_t>(m) * n);
       for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
       for (auto& v : b) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      KernelRecord r{"gemm_s8u8", s, s, s};
+      KernelRecord r{"gemm_s8u8", m, k, n};
       r.backend = backend;
       r.ms = time_best_ms([&] {
-        tensor::gemm_s8u8(a.data(), b.data(), c.data(), s, s, s);
+        tensor::gemm_s8u8(a.data(), b.data(), c.data(), m, k, n);
         benchmark::DoNotOptimize(c.data());
       });
-      r.gflops = 2.0 * s * s * s / (r.ms * 1e6);
+      r.gflops = 2.0 * m * k * n / (r.ms * 1e6);
       records.push_back(r);
-    }
+    };
+    for (const int s : {64, 128, 256, 512}) s8u8_like(s, s, s);
+    s8u8_like(512, 4608, 1);  // the n = 1 and n = 4 deep shapes
+    s8u8_like(256, 2304, 4);
 
     for (const int c : {16, 64}) {
       nn::Conv2D conv(c, c, 3, 1);

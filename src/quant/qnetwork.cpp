@@ -316,11 +316,14 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         fin.reserve(nd.inputs.size());
         for (int src : nd.inputs) {
           const QuantParams& p = scales_.at(src);
+          std::array<float, 256> deq{};
+          for (int v = 0; v < 256; ++v)
+            deq[static_cast<std::size_t>(v)] = dequantize_value(static_cast<std::uint8_t>(v), p);
           tensor::Tensor t(plan.shapes[static_cast<std::size_t>(src)]);
           const std::uint8_t* qd = act(src);
           float* fd = t.data();
           const std::size_t count = static_cast<std::size_t>(t.numel());
-          for (std::size_t i = 0; i < count; ++i) fd[i] = dequantize_value(qd[i], p);
+          for (std::size_t i = 0; i < count; ++i) fd[i] = deq[qd[i]];
           fin.push_back(std::move(t));
         }
         std::vector<const tensor::Tensor*> fin_ptrs;

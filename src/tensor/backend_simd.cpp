@@ -8,7 +8,9 @@
 // exactly the per-k C load/modify/store traffic this removes. The int8
 // kernel packs activation columns k-pair-interleaved so one madd(u8->i16,
 // s8->i16) instruction accumulates two K steps into exact i32 lanes (no
-// i16 saturation: |u8 x s8| <= 255*127 and the pair sum fits i32).
+// i16 saturation: |u8 x s8| <= 255*128 and the pair sum fits i32). Narrow
+// products (fp32 n <= 6, int8 n <= 4: the deep convs at small inputs) skip
+// the 16-wide panels — see the narrow-N sections below.
 //
 // Two implementations live in this TU and are chosen at runtime via cpuid:
 // AVX2/FMA function-multiversioned kernels (target attributes, so no global
@@ -44,6 +46,19 @@ constexpr int kNr = 16;  // fp32 cols per register tile (two 8-float lanes)
 constexpr int kMrI8 = 4;
 constexpr int kNrI8 = 16;
 constexpr std::int64_t kParallelFlopCutoff = 1 << 16;
+
+// Narrow-N paths (AVX2 only). At n <= kNarrowN the 6x16 tile wastes most of
+// its FMAs on zero-padded columns, so the tile flips: kMrNarrow rows of A
+// fill the two 8-float lanes and each of the n columns of B is broadcast.
+// 2n accumulators + 2 A vectors + 1 broadcast must fit the 16 ymm
+// registers, which caps n at 6. A is packed in kKcNarrow-deep blocks (a
+// 16 KB tile, L1-resident); accumulators carry across blocks through an
+// exact store/reload, so each output is still one k-ascending FMA chain.
+constexpr int kNarrowN = 6;
+constexpr int kMrNarrow = 16;
+constexpr int kKcNarrow = 256;
+// int8 takes a K-vectorised dot per output below this width.
+constexpr int kNarrowNI8 = 4;
 
 /// Pack buffers are handed out 64-byte aligned so panel rows (64 bytes for
 /// both the fp32 and int8 tiles) never straddle cache lines.
@@ -224,6 +239,129 @@ void gemm_fp32_rows(const float* a, const float* bpack, float* c, int i0, int i1
   }
 }
 
+// ---------------------------------------------------------------------------
+// fp32 narrow-N path: C[m x n] for n <= kNarrowN
+// ---------------------------------------------------------------------------
+
+#if NETCUT_SIMD_X86
+/// Rows [i0, i0+mr) x cols [k0, k0+kc) of A[MxK] -> k-major tile, zero-padded
+/// to kMrNarrow rows: dst[kk * kMrNarrow + r] = a[i0 + r][k0 + kk]. Full
+/// tiles move 8x8 blocks through an in-register transpose.
+NETCUT_TARGET_AVX2 void pack_a_narrow_avx2(const float* a, int k, int i0, int mr, int k0,
+                                           int kc, float* dst) {
+  int kk = 0;
+  if (mr == kMrNarrow) {
+    for (; kk + 8 <= kc; kk += 8) {
+      for (int g = 0; g < kMrNarrow; g += 8) {
+        const float* src = a + static_cast<std::int64_t>(i0 + g) * k + k0 + kk;
+        __m256 r[8];
+        for (int q = 0; q < 8; ++q) r[q] = _mm256_loadu_ps(src + static_cast<std::int64_t>(q) * k);
+        __m256 t[8];
+        for (int q = 0; q < 8; q += 2) {
+          t[q] = _mm256_unpacklo_ps(r[q], r[q + 1]);
+          t[q + 1] = _mm256_unpackhi_ps(r[q], r[q + 1]);
+        }
+        for (int q = 0; q < 8; q += 4) {
+          r[q] = _mm256_shuffle_ps(t[q], t[q + 2], _MM_SHUFFLE(1, 0, 1, 0));
+          r[q + 1] = _mm256_shuffle_ps(t[q], t[q + 2], _MM_SHUFFLE(3, 2, 3, 2));
+          r[q + 2] = _mm256_shuffle_ps(t[q + 1], t[q + 3], _MM_SHUFFLE(1, 0, 1, 0));
+          r[q + 3] = _mm256_shuffle_ps(t[q + 1], t[q + 3], _MM_SHUFFLE(3, 2, 3, 2));
+        }
+        // r[q] (q < 4) holds k-steps q | q+4 of rows 0-3 and r[q+4] the same
+        // k-steps of rows 4-7; recombining 128-bit halves gives whole k-steps.
+        float* out = dst + static_cast<std::int64_t>(kk) * kMrNarrow + g;
+        for (int q = 0; q < 4; ++q) {
+          _mm256_store_ps(out + q * kMrNarrow, _mm256_permute2f128_ps(r[q], r[q + 4], 0x20));
+          _mm256_store_ps(out + (q + 4) * kMrNarrow,
+                          _mm256_permute2f128_ps(r[q], r[q + 4], 0x31));
+        }
+      }
+    }
+  }
+  for (; kk < kc; ++kk) {
+    float* out = dst + static_cast<std::int64_t>(kk) * kMrNarrow;
+    for (int r = 0; r < mr; ++r) out[r] = a[static_cast<std::int64_t>(i0 + r) * k + k0 + kk];
+    for (int r = mr; r < kMrNarrow; ++r) out[r] = 0.0f;
+  }
+}
+
+/// acc[j * kMrNarrow + r] += sum over kc steps of ap[kk][r] * b[kk][j], as
+/// one FMA per step in k order — the operation micro_fp32_avx2 performs for
+/// the same output, so the two paths agree bit for bit.
+template <int N>
+NETCUT_TARGET_AVX2 void micro_narrow_avx2(const float* ap, const float* b, int kc, float* acc) {
+  __m256 lo[N], hi[N];
+  for (int j = 0; j < N; ++j) {
+    lo[j] = _mm256_load_ps(acc + j * kMrNarrow);
+    hi[j] = _mm256_load_ps(acc + j * kMrNarrow + 8);
+  }
+  for (int kk = 0; kk < kc; ++kk) {
+    const __m256 a0 = _mm256_load_ps(ap + static_cast<std::int64_t>(kk) * kMrNarrow);
+    const __m256 a1 = _mm256_load_ps(ap + static_cast<std::int64_t>(kk) * kMrNarrow + 8);
+    const float* bk = b + static_cast<std::int64_t>(kk) * N;
+    for (int j = 0; j < N; ++j) {
+      const __m256 bv = _mm256_broadcast_ss(bk + j);
+      lo[j] = _mm256_fmadd_ps(a0, bv, lo[j]);
+      hi[j] = _mm256_fmadd_ps(a1, bv, hi[j]);
+    }
+  }
+  for (int j = 0; j < N; ++j) {
+    _mm256_store_ps(acc + j * kMrNarrow, lo[j]);
+    _mm256_store_ps(acc + j * kMrNarrow + 8, hi[j]);
+  }
+}
+
+/// Rows [i0, i1) of C = A * B with n == N. Tiles start at i0 (a kMrNarrow
+/// multiple), so tile assignment is identical at any thread count.
+template <int N>
+void gemm_narrow_rows(const float* a, const float* b, float* c, int i0, int i1, int k,
+                      bool accumulate) {
+  static thread_local std::vector<float> apack_store;
+  float* apack = aligned_slot(apack_store, static_cast<std::size_t>(kKcNarrow) * kMrNarrow);
+  alignas(32) float acc[N * kMrNarrow];
+  for (int i = i0; i < i1; i += kMrNarrow) {
+    const int mr = (i + kMrNarrow <= i1) ? kMrNarrow : i1 - i;
+    std::memset(acc, 0, sizeof(acc));
+    for (int k0 = 0; k0 < k; k0 += kKcNarrow) {
+      const int kc = (k0 + kKcNarrow <= k) ? kKcNarrow : k - k0;
+      pack_a_narrow_avx2(a, k, i, mr, k0, kc, apack);
+      micro_narrow_avx2<N>(apack, b + static_cast<std::int64_t>(k0) * N, kc, acc);
+    }
+    for (int r = 0; r < mr; ++r) {
+      float* crow = c + static_cast<std::int64_t>(i + r) * N;
+      for (int j = 0; j < N; ++j) {
+        const float v = acc[j * kMrNarrow + r];
+        crow[j] = accumulate ? crow[j] + v : v;
+      }
+    }
+  }
+}
+
+template <int N>
+void gemm_narrow(const float* a, const float* b, float* c, int m, int k, bool accumulate) {
+  const std::int64_t tiles = (m + kMrNarrow - 1) / kMrNarrow;
+  const std::int64_t tile_flops = 2LL * kMrNarrow * k * N;
+  const std::int64_t grain = (kParallelFlopCutoff + tile_flops - 1) / tile_flops;
+  util::parallel_for(0, tiles, grain, [&](std::int64_t t0, std::int64_t t1) {
+    const int i0 = static_cast<int>(t0) * kMrNarrow;
+    const int i1 = static_cast<int>(t1 * kMrNarrow < m ? t1 * kMrNarrow : m);
+    gemm_narrow_rows<N>(a, b, c, i0, i1, k, accumulate);
+  });
+}
+
+void gemm_narrow_dispatch(const float* a, const float* b, float* c, int m, int k, int n,
+                          bool accumulate) {
+  switch (n) {
+    case 1: return gemm_narrow<1>(a, b, c, m, k, accumulate);
+    case 2: return gemm_narrow<2>(a, b, c, m, k, accumulate);
+    case 3: return gemm_narrow<3>(a, b, c, m, k, accumulate);
+    case 4: return gemm_narrow<4>(a, b, c, m, k, accumulate);
+    case 5: return gemm_narrow<5>(a, b, c, m, k, accumulate);
+    default: return gemm_narrow<6>(a, b, c, m, k, accumulate);
+  }
+}
+#endif  // NETCUT_SIMD_X86
+
 void gemm_simd(const float* a, const float* b, float* c, int m, int k, int n,
                bool accumulate) {
   if (m <= 0 || n <= 0) return;
@@ -233,6 +371,12 @@ void gemm_simd(const float* a, const float* b, float* c, int m, int k, int n,
       std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
     return;
   }
+#if NETCUT_SIMD_X86
+  if (kUseAvx2 && n <= kNarrowN) {
+    gemm_narrow_dispatch(a, b, c, m, k, n, accumulate);
+    return;
+  }
+#endif
   // Pack B once on the calling thread (deterministic), shared read-only by
   // every row-panel worker.
   static thread_local std::vector<float> bpack_store;
@@ -486,6 +630,77 @@ void gemm_s8u8_rows(const std::int8_t* a, const std::uint8_t* bpack, std::int32_
   }
 }
 
+// ---------------------------------------------------------------------------
+// int8 narrow-N path: C[m x n] for n <= kNarrowNI8
+// ---------------------------------------------------------------------------
+
+#if NETCUT_SIMD_X86
+/// Rows [i0, i1) of C for n == N: one K-vectorised dot per output straight
+/// off the unpacked weight row. bt holds column j of B widened to i16 at
+/// bt[j * ldbt + kk]. Weights widen with cvtepi8_epi16 and madd_epi16 sums
+/// two exact i16 products (|s8 x u8| <= 128 * 255) into an i32 lane — never
+/// maddubs, whose i16 pair sum saturates.
+template <int N>
+NETCUT_TARGET_AVX2 void narrow_s8u8_rows_avx2(const std::int8_t* a, const std::int16_t* bt,
+                                              int ldbt, std::int32_t* c, int i0, int i1,
+                                              int k) {
+  for (int i = i0; i < i1; ++i) {
+    const std::int8_t* arow = a + static_cast<std::int64_t>(i) * k;
+    __m256i acc[N];
+    for (int j = 0; j < N; ++j) acc[j] = _mm256_setzero_si256();
+    int kk = 0;
+    for (; kk + 16 <= k; kk += 16) {
+      const __m256i av =
+          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + kk)));
+      for (int j = 0; j < N; ++j) {
+        const __m256i bv = _mm256_load_si256(
+            reinterpret_cast<const __m256i*>(bt + static_cast<std::int64_t>(j) * ldbt + kk));
+        acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(av, bv));
+      }
+    }
+    for (int j = 0; j < N; ++j) {
+      __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc[j]),
+                                _mm256_extracti128_si256(acc[j], 1));
+      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+      std::int32_t sum = _mm_cvtsi128_si32(s);
+      const std::int16_t* bj = bt + static_cast<std::int64_t>(j) * ldbt;
+      for (int t = kk; t < k; ++t) sum += static_cast<std::int32_t>(arow[t]) * bj[t];
+      c[static_cast<std::int64_t>(i) * N + j] = sum;
+    }
+  }
+}
+
+template <int N>
+void gemm_s8u8_narrow(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c, int m,
+                      int k) {
+  // Widen B's columns once on the calling thread; every row worker reads
+  // them. Rows are padded to 16 lanes so each one starts 32-byte aligned.
+  static thread_local std::vector<std::int16_t> bt_store;
+  const int ldbt = (k + 15) / 16 * 16;
+  std::int16_t* bt = aligned_slot(bt_store, static_cast<std::size_t>(N) * ldbt);
+  for (int j = 0; j < N; ++j)
+    for (int kk = 0; kk < k; ++kk)
+      bt[static_cast<std::int64_t>(j) * ldbt + kk] = b[static_cast<std::int64_t>(kk) * N + j];
+  const std::int64_t row_macs = 1LL * k * N;
+  const std::int64_t grain = (kParallelFlopCutoff + row_macs - 1) / row_macs;
+  const std::int16_t* btc = bt;
+  util::parallel_for(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
+    narrow_s8u8_rows_avx2<N>(a, btc, ldbt, c, static_cast<int>(i0), static_cast<int>(i1), k);
+  });
+}
+
+void gemm_s8u8_narrow_dispatch(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c,
+                               int m, int k, int n) {
+  switch (n) {
+    case 1: return gemm_s8u8_narrow<1>(a, b, c, m, k);
+    case 2: return gemm_s8u8_narrow<2>(a, b, c, m, k);
+    case 3: return gemm_s8u8_narrow<3>(a, b, c, m, k);
+    default: return gemm_s8u8_narrow<4>(a, b, c, m, k);
+  }
+}
+#endif  // NETCUT_SIMD_X86
+
 void gemm_s8u8_simd(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c, int m,
                     int k, int n) {
   if (m <= 0 || n <= 0) return;
@@ -494,6 +709,12 @@ void gemm_s8u8_simd(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c
                 sizeof(std::int32_t) * static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
     return;
   }
+#if NETCUT_SIMD_X86
+  if (kUseAvx2 && n <= kNarrowNI8) {
+    gemm_s8u8_narrow_dispatch(a, b, c, m, k, n);
+    return;
+  }
+#endif
   static thread_local std::vector<std::uint8_t> bpack_store;
   const int panels = (n + kNrI8 - 1) / kNrI8;
   const int kpairs = (k + 1) / 2;

@@ -17,6 +17,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace netcut::tensor {
 namespace {
@@ -148,11 +149,73 @@ TEST(Backends, GemvAgreesToUlp) {
   }
 }
 
+/// Restores the default pool size on scope exit.
+class PoolGuard {
+ public:
+  ~PoolGuard() { util::set_num_threads(util::default_thread_count()); }
+};
+
+TEST(Backends, Fp32GemmColumnSliceBitwiseInvariant) {
+  // Each output column of the simd gemm is one k-ascending FMA chain whose
+  // order does not depend on n: the narrow-N path (n <= 6) and the 16-wide
+  // panel tile must agree byte for byte on the columns they share, at any
+  // pool size.
+  BackendGuard backend_guard;
+  PoolGuard pool_guard;
+  set_backend(BackendKind::kSimd);
+  constexpr int kWide = 20;
+  util::Rng rng(107);
+  for (const int threads : {1, 4}) {
+    util::set_num_threads(threads);
+    for (const int m : {1, 15, 16, 17, 100}) {
+      for (const int k : {1, 7, 9, 288, 4608}) {
+        const auto a = Tensor::randn(Shape{m, k}, rng);
+        const auto at = Tensor::randn(Shape{k, m}, rng);
+        const auto bw = Tensor::randn(Shape{k, kWide}, rng);
+        const auto cw0 = Tensor::randn(Shape{m, kWide}, rng);
+        for (int n = 1; n <= 6; ++n) {
+          std::vector<float> bn(static_cast<std::size_t>(k) * n);
+          for (int kk = 0; kk < k; ++kk)
+            std::memcpy(&bn[static_cast<std::size_t>(kk) * n], bw.data() + kk * kWide,
+                        sizeof(float) * n);
+          for (const int op : {0, 1, 2}) {  // gemm, gemm_accumulate, gemm_at
+            std::vector<float> wide(cw0.data(), cw0.data() + cw0.numel());
+            std::vector<float> narrow(static_cast<std::size_t>(m) * n);
+            for (int i = 0; i < m; ++i)
+              std::memcpy(&narrow[static_cast<std::size_t>(i) * n], &wide[i * kWide],
+                          sizeof(float) * n);
+            if (op == 0) {
+              gemm(a.data(), bw.data(), wide.data(), m, k, kWide);
+              gemm(a.data(), bn.data(), narrow.data(), m, k, n);
+            } else if (op == 1) {
+              gemm_accumulate(a.data(), bw.data(), wide.data(), m, k, kWide);
+              gemm_accumulate(a.data(), bn.data(), narrow.data(), m, k, n);
+            } else {
+              gemm_at(at.data(), bw.data(), wide.data(), m, k, kWide);
+              gemm_at(at.data(), bn.data(), narrow.data(), m, k, n);
+            }
+            for (int i = 0; i < m; ++i)
+              ASSERT_EQ(std::memcmp(&narrow[static_cast<std::size_t>(i) * n], &wide[i * kWide],
+                                    sizeof(float) * n),
+                        0)
+                  << "row " << i << " op " << op << " shape " << m << "x" << k << "x" << n
+                  << " threads " << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Backends, Int8GemmBitExactAcrossBackendsAndMatchesNaive) {
   util::Rng rng(105);
   // K values straddle the madd pair width and the panel interleave; N and M
-  // straddle the int8 tile.
-  for (const ShapeCase& s : edge_shapes()) {
+  // straddle the int8 tile. The narrow-N rows pair every N the K-vectorised
+  // path takes with odd K tails around its 16-lane step.
+  std::vector<ShapeCase> shapes = edge_shapes();
+  for (int n = 1; n <= 4; ++n)
+    for (const int k : {1, 17, 31, 4607}) shapes.push_back({13, k, n});
+  for (const ShapeCase& s : shapes) {
     std::vector<std::int8_t> a(static_cast<std::size_t>(s.m) * s.k);
     std::vector<std::uint8_t> b(static_cast<std::size_t>(s.k) * s.n);
     for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
@@ -175,6 +238,20 @@ TEST(Backends, Int8GemmBitExactAcrossBackendsAndMatchesNaive) {
             << "at (" << i << "," << j << ") shape " << s.m << "x" << s.k << "x" << s.n;
       }
     }
+  }
+
+  // Extreme operands: every product is -128 * 255, the largest-magnitude
+  // s8 x u8 value, which saturates any i16 pair sum.
+  for (const int n : {1, 4, 16}) {
+    const int m = 5, k = 4607;
+    const std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k, -128);
+    const std::vector<std::uint8_t> b(static_cast<std::size_t>(k) * n, 255);
+    std::vector<std::int32_t> ref(static_cast<std::size_t>(m) * n), got(ref.size());
+    scalar_backend().gemm_s8u8(a.data(), b.data(), ref.data(), m, k, n);
+    simd_backend().gemm_s8u8(a.data(), b.data(), got.data(), m, k, n);
+    const std::vector<std::int32_t> naive(ref.size(), -128 * 255 * k);
+    ASSERT_EQ(ref, naive) << "n " << n;
+    ASSERT_EQ(got, naive) << "n " << n;
   }
 }
 
