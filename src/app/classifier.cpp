@@ -1,8 +1,10 @@
 #include "app/classifier.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "core/evaluator.hpp"
 #include "core/pretrained_cache.hpp"
 #include "core/trn.hpp"
 #include "data/pretrained.hpp"
@@ -116,7 +118,12 @@ VisualClassifier::VisualClassifier(zoo::NetId base, int cut_node,
   const nn::Graph trunk = core::pretrained_trunk(base, dataset.config().resolution,
                                                  pretrained, weight_cache_dir);
   trunk_ = std::make_unique<nn::Network>(trunk.prefix(cut_node));
-  const auto calib = dataset.calibration_set(0.03, head_config.seed);
+  // BatchNorm statistics from the evaluator's calibration budget: deep maps
+  // are ~1x1 at the experiment resolution, so a handful of images would
+  // leave a per-channel variance estimated from a handful of values.
+  const int calib_count = std::min(core::EvalConfig{}.calibration_images,
+                                   static_cast<int>(dataset.train().size()));
+  const auto calib = dataset.calibration_sample(calib_count, head_config.seed);
   std::vector<const tensor::Tensor*> images;
   for (const data::Sample* s : calib) images.push_back(&s->image);
   data::calibrate_batchnorm(*trunk_, images);

@@ -73,10 +73,7 @@ TrnEvaluator::NetState& TrnEvaluator::state(zoo::NetId base) {
   // Optional BatchNorm re-calibration on a train subset (0 keeps the
   // statistics the pretrained trunk shipped with).
   if (config_.calibration_images > 0) {
-    const auto calib = dataset_.calibration_set(
-        static_cast<double>(config_.calibration_images) /
-            static_cast<double>(dataset_.train().size()),
-        config_.seed);
+    const auto calib = dataset_.calibration_sample(config_.calibration_images, config_.seed);
     std::vector<const tensor::Tensor*> images;
     for (const data::Sample* s : calib) images.push_back(&s->image);
     data::calibrate_batchnorm(*st.net, images);

@@ -184,9 +184,15 @@ std::vector<const Sample*> HandsDataset::calibration_set(double fraction,
                                                          std::uint64_t seed) const {
   if (fraction <= 0.0 || fraction > 1.0)
     throw std::invalid_argument("calibration_set: fraction out of range");
+  return calibration_sample(
+      std::max(1, static_cast<int>(fraction * static_cast<double>(train_.size()))), seed);
+}
+
+std::vector<const Sample*> HandsDataset::calibration_sample(int count,
+                                                            std::uint64_t seed) const {
+  if (count < 1 || count > static_cast<int>(train_.size()))
+    throw std::invalid_argument("calibration_sample: count out of range");
   util::Rng rng(util::derive_seed(seed, "hands/calibration"));
-  const int count =
-      std::max(1, static_cast<int>(fraction * static_cast<double>(train_.size())));
   std::vector<int> order = rng.permutation(static_cast<int>(train_.size()));
   std::vector<const Sample*> out;
   out.reserve(static_cast<std::size_t>(count));

@@ -56,6 +56,9 @@ class HandsDataset {
   /// A random subset of the training set (the paper uses 10% of train as
   /// the post-training-quantization calibration set).
   std::vector<const Sample*> calibration_set(double fraction, std::uint64_t seed) const;
+  /// The first `count` images of the same seeded permutation; `count` must
+  /// lie in [1, train().size()].
+  std::vector<const Sample*> calibration_sample(int count, std::uint64_t seed) const;
 
  private:
   HandsConfig config_;

@@ -146,6 +146,15 @@ Tensor render_source_object(int category, int resolution, util::Rng& rng,
   return img;
 }
 
+int specialization_onset_node(const nn::Graph& trunk, double onset) {
+  const auto blocks = trunk.blocks();
+  if (blocks.empty())
+    throw std::invalid_argument("specialization_onset_node: trunk has no blocks");
+  int onset_index = static_cast<int>(onset * static_cast<double>(blocks.size())) - 1;
+  onset_index = std::clamp(onset_index, 0, static_cast<int>(blocks.size()) - 2);
+  return blocks[static_cast<std::size_t>(onset_index)].last_node;
+}
+
 PretrainReport generate_pretrained_weights(nn::Graph& trunk,
                                            const PretrainedConfig& config) {
   if (config.source_images < kSourceClasses)
@@ -153,16 +162,7 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
   util::Rng rng(util::derive_seed(config.seed, "pretrain"));
   const int resolution = trunk.input_shape()[1];
   const int trunk_nodes = trunk.node_count();
-
-  // Auxiliary supervision point: the block-end cut at the onset fraction.
-  const auto blocks = trunk.blocks();
-  if (blocks.empty())
-    throw std::invalid_argument("generate_pretrained_weights: trunk has no blocks");
-  int onset_index = static_cast<int>(config.specialization_onset *
-                                     static_cast<double>(blocks.size())) -
-                    1;
-  onset_index = std::clamp(onset_index, 0, static_cast<int>(blocks.size()) - 2);
-  const int onset_node = blocks[static_cast<std::size_t>(onset_index)].last_node;
+  const int onset_node = specialization_onset_node(trunk, config.specialization_onset);
 
   // Training graph: trunk copy + aux head at the onset + final head on top.
   Graph g = trunk;

@@ -98,6 +98,21 @@ TEST(HandsDataset, CalibrationSetFractionAndMembership) {
   EXPECT_THROW(ds.calibration_set(0.0, 5), std::invalid_argument);
 }
 
+TEST(HandsDataset, CalibrationSampleTakesExactCount) {
+  // 25 / 97 * 97 rounds below 25, so a count routed through a fraction
+  // would lose an image at this train size.
+  HandsConfig hc = small_config();
+  hc.train_count = 97;
+  const HandsDataset ds(hc);
+  const auto calib = ds.calibration_sample(25, 5);
+  EXPECT_EQ(calib.size(), 25u);
+  const auto fraction = ds.calibration_set(0.1, 5);
+  ASSERT_EQ(fraction.size(), 9u);
+  for (std::size_t i = 0; i < fraction.size(); ++i) EXPECT_EQ(fraction[i], calib[i]);
+  EXPECT_THROW(ds.calibration_sample(0, 5), std::invalid_argument);
+  EXPECT_THROW(ds.calibration_sample(98, 5), std::invalid_argument);
+}
+
 PretrainedConfig tiny_pretrain() {
   PretrainedConfig cfg;
   cfg.source_images = 60;
