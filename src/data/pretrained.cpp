@@ -151,7 +151,7 @@ int specialization_onset_node(const nn::Graph& trunk, double onset) {
   if (blocks.empty())
     throw std::invalid_argument("specialization_onset_node: trunk has no blocks");
   int onset_index = static_cast<int>(onset * static_cast<double>(blocks.size())) - 1;
-  onset_index = std::clamp(onset_index, 0, static_cast<int>(blocks.size()) - 2);
+  onset_index = std::clamp(onset_index, 0, std::max(0, static_cast<int>(blocks.size()) - 2));
   return blocks[static_cast<std::size_t>(onset_index)].last_node;
 }
 

@@ -71,7 +71,8 @@ struct PretrainReport {
 /// The block-end cut at depth fraction `onset` (by block ordinal): the
 /// auxiliary supervision point of generate_pretrained_weights. Features at
 /// or below it carry target signal; features above it are source-specific.
-/// Never the trunk's last block. Throws if the trunk has no blocks.
+/// Never the trunk's last block, unless it is the only one. Throws if the
+/// trunk has no blocks.
 int specialization_onset_node(const nn::Graph& trunk, double onset);
 
 /// Pretrains the trunk in place on the synthetic source task and leaves

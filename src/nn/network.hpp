@@ -1,17 +1,17 @@
 // Network: an executable wrapper around a Graph. Owns per-node activation
 // storage for forward passes and gradient accumulators for backward passes.
 //
-// Forward passes run in one of two modes:
-//  - planned (default): a MemoryPlan assigns every activation and per-layer
-//    scratch buffer an offset into one arena; layers write through
-//    forward_into into views bound at those offsets, so a steady-state pass
-//    performs no per-node heap allocation. Tensors handed back to the caller
-//    (the output, collected activations) are deep-copied out of the arena by
-//    Tensor's materializing copy semantics.
-//  - naive: every node heap-allocates its output via Layer::forward. Kept as
-//    the reference path; the planned path is bit-identical to it.
+// Every forward pass runs through one planned executor: a MemoryPlan assigns
+// every activation and per-layer scratch buffer an offset into one arena;
+// layers write through forward_into into views bound at those offsets, so a
+// steady-state pass performs no per-node heap allocation. Tensors handed back
+// to the caller (the output, collected activations) are deep-copied out of
+// the arena by Tensor's materializing copy semantics. The naive node-by-node
+// Layer::forward interpreter that serves as its oracle lives with the tests
+// (tests/reference_interpreter.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,18 +21,14 @@
 
 namespace netcut::nn {
 
-/// Process-wide default for new Network instances. Initialized from the
-/// NETCUT_MEMPLAN environment variable ("0" disables planning; anything
-/// else, or unset, enables it).
-bool default_memory_planning();
-void set_default_memory_planning(bool on);
+struct VerifyReport;
 
 class Network {
  public:
   explicit Network(Graph graph);
 
   // The activation arena is move-only; copies start with a fresh (empty)
-  // arena and re-reserve lazily on their first planned forward.
+  // arena and re-reserve lazily on their first forward.
   Network(const Network& other);
   Network& operator=(const Network& other);
   Network(Network&&) = default;
@@ -43,7 +39,9 @@ class Network {
 
   /// Run the network on one CHW image (or feature vector); returns the
   /// output node's activation. With train=true, layers cache for backward
-  /// and activations are retained for the DAG backward pass.
+  /// and activations are retained for the DAG backward pass. Throws
+  /// std::invalid_argument when the input's shape differs from the graph's
+  /// declared input shape (the plan sizes every slot from it).
   Tensor forward(const Tensor& input, bool train = false);
 
   /// Forward that also returns the activations of `collect` node ids
@@ -52,14 +50,13 @@ class Network {
   std::vector<Tensor> forward_collect(const Tensor& input, const std::vector<int>& collect,
                                       bool train = false);
 
-  /// Inference-only batched forward: one output per input, in order. The
-  /// planned path lays the arena out as `inputs.size()` disjoint lanes
-  /// (planned once per batch size and cached) and runs lanes concurrently on
-  /// the pool; every kernel is deterministic at any thread count, so the
-  /// result is bitwise identical to `inputs.size()` independent single-image
-  /// forwards — the serving layer relies on exactly that equivalence. All
-  /// inputs must share one shape. With planning disabled this degrades to a
-  /// loop of naive single-image forwards.
+  /// Inference-only batched forward: one output per input, in order;
+  /// forward_from_batch(0, inputs). The arena is laid out as `inputs.size()`
+  /// disjoint lanes (planned once per batch size and cached) and lanes run
+  /// concurrently on the pool; every kernel is deterministic at any thread
+  /// count, so the result is bitwise identical to `inputs.size()` independent
+  /// single-image forwards — the serving layer relies on exactly that
+  /// equivalence. All inputs must have the graph's declared input shape.
   std::vector<Tensor> forward_batch(const std::vector<const Tensor*>& inputs);
 
   /// Inference-only forward that resumes mid-graph: node `resume` is seeded
@@ -70,7 +67,8 @@ class Network {
   /// cut site / output dominator); throws std::invalid_argument otherwise,
   /// or when `seed`'s shape differs from node `resume`'s inferred shape.
   /// Bitwise identical to the suffix of a full forward whose prefix produced
-  /// `seed`; resume == 0 is the ordinary full forward.
+  /// `seed`; resume == 0 is the ordinary full forward. The batch-1 case of
+  /// forward_from_batch.
   Tensor forward_from(int resume, const Tensor& seed);
 
   /// Batched counterpart of forward_from: one output per seed (all sharing
@@ -96,27 +94,27 @@ class Network {
   /// Output shape at the declared input resolution.
   Shape output_shape() const;
 
-  /// Per-instance override of the process-wide planning default.
-  void set_memory_planning(bool on) { planning_ = on; }
-  bool memory_planning() const { return planning_; }
-
   /// The (cached) memory plan for a pass with this collect set / train flag
   /// / batch size / resume node. Exposed so tests and benchmarks can inspect
-  /// planned vs naive footprint (and that distinct batch sizes or resume
-  /// nodes never share a plan).
+  /// the planned peak against the naive activation sum (and that distinct
+  /// batch sizes or resume nodes never share a plan).
   const MemoryPlan& plan_for(const std::vector<int>& collect, bool train, int batch = 1,
                              int resume = 0);
 
  private:
-  std::vector<Tensor> forward_collect_planned(const Tensor& input,
-                                              const std::vector<int>& collect, bool train);
+  /// The executor: seeds acts[first] with a view of `seed`, then runs nodes
+  /// first+1 .. n-1 of `plan` against the arena at float offset `base` (one
+  /// batch lane). Inference passes drop each activation view once its last
+  /// consumer has run. With `guard`, every output is scanned into it.
+  void run_nodes(const MemoryPlan& plan, std::size_t base, int first, const Tensor& seed,
+                 bool train, std::vector<Tensor>& acts, VerifyReport* guard);
+  void check_seed_shape(int node, const Shape& shape) const;
   void check_resume(int resume, const Shape& seed_shape) const;
 
   Graph graph_;
   std::vector<Tensor> activations_;  // valid after a train-mode forward
   bool have_activations_ = false;
 
-  bool planning_ = default_memory_planning();
   std::vector<MemoryPlan> plans_;  // MRU cache, front = most recent
   tensor::Arena arena_;
 };

@@ -19,6 +19,7 @@
 
 #include "core/cascade.hpp"
 #include "golden.hpp"
+#include "reference_interpreter.hpp"
 #include "util/thread_pool.hpp"
 #include "zoo/zoo.hpp"
 
@@ -152,16 +153,18 @@ TEST_F(CascadeTrnTest, PrefixResumeBitwiseEqualsDeepForwardAtThreads1And8) {
   util::set_num_threads(before);
 }
 
-TEST_F(CascadeTrnTest, PrefixResumeBitwiseOnNaivePath) {
+TEST_F(CascadeTrnTest, PrefixResumeBitwiseEqualsReferenceInterpreter) {
+  // Oracle: the deep TRN run node by node by the test-only reference
+  // interpreter, which shares no code with the planned executor.
   int shallow = 0, deep = 0;
   CascadeTrn cascade = make_cascade(shallow, deep);
-  cascade.shallow().set_memory_planning(false);
-  cascade.deep().set_memory_planning(false);
+  nn::ReferenceInterpreter reference(cascade.deep().graph());
   util::Rng rng(12);
   const tensor::Tensor input = tensor::Tensor::randn(tensor::Shape::chw(3, kRes, kRes), rng, 0.5f);
-  const tensor::Tensor direct = cascade.deep().forward(input);
-  const tensor::Tensor resumed = cascade.escalate(cascade.stage1(input));
-  EXPECT_TRUE(bitwise_equal(resumed, direct));
+  const tensor::Tensor direct = reference.forward(input);
+  const CascadeTrn::Stage1 s1 = cascade.stage1(input);
+  EXPECT_TRUE(bitwise_equal(cascade.escalate(s1), direct));
+  EXPECT_TRUE(bitwise_equal(reference.forward_from(cascade.resume_node(), s1.trunk_act), direct));
 }
 
 TEST_F(CascadeTrnTest, DegenerateThresholdsRecoverTheStaticCuts) {

@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "data/emg.hpp"
 #include "data/hands.hpp"
 #include "data/pretrained.hpp"
+#include "nn/activation.hpp"
+#include "nn/conv.hpp"
 #include "zoo/zoo.hpp"
 
 namespace netcut::data {
@@ -155,6 +158,22 @@ TEST(Pretrained, SourceObjectsCoverAllCategories) {
     EXPECT_LE(img.max(), 1.0f);
   }
   EXPECT_THROW(render_source_object(kSourceClasses, 24, rng, 0.05), std::invalid_argument);
+}
+
+TEST(Pretrained, SpecializationOnsetNodeOnOneBlockAndZooTrunks) {
+  // One block: "never the last block" cannot hold, so every onset must fall
+  // back to block 0 rather than clamp into an empty range.
+  nn::Graph g;
+  const int in = g.add_input(tensor::Shape::chw(3, 8, 8));
+  const int conv = g.add(std::make_unique<nn::Conv2D>(3, 4, 3, 1), {in}, "conv", 0, "b0");
+  const int last = g.add(std::make_unique<nn::ReLU>(false), {conv}, "relu", 0, "b0");
+  ASSERT_EQ(g.blocks().size(), 1u);
+  for (const double onset : {0.0, 0.55, 1.0})
+    EXPECT_EQ(specialization_onset_node(g, onset), last) << "onset " << onset;
+
+  // The zoo trunk the pretraining tests use keeps its onset.
+  const nn::Graph trunk = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32);
+  EXPECT_EQ(specialization_onset_node(trunk, PretrainedConfig{}.specialization_onset), 45);
 }
 
 TEST(Pretrained, ActivationsStayFiniteAfterCalibration) {

@@ -1,10 +1,12 @@
-// Memory-planned execution: the planned forward/backward path must be
-// bit-identical to the naive (per-node heap allocation) reference path —
-// same activations, same collected tensors, same parameter gradients — in
-// train and inference mode, at any thread count, on real zoo trunks and on
-// a TRN whose head joins the trunk through a multi-input combine node.
-// Also pins down the point of the exercise: far fewer heap allocations per
-// planned pass, and a planned activation peak below the naive sum.
+// Memory-planned execution: nn::Network's planned forward/backward path must
+// be bit-identical to the test-only ReferenceInterpreter (per-node heap
+// allocation through Layer::forward) — same activations, same collected
+// tensors, same parameter gradients — in train and inference mode, at any
+// thread count, on real zoo trunks and on a TRN whose head joins the trunk
+// through a multi-input combine node. Also pins down the point of the
+// exercise: far fewer heap allocations per planned pass, a planned
+// activation peak below the naive sum, and inputs that do not fit the plan
+// rejected before they can run past their arena slots.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -21,6 +23,7 @@
 #include "nn/init.hpp"
 #include "nn/memory_plan.hpp"
 #include "nn/network.hpp"
+#include "reference_interpreter.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -45,16 +48,13 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b, const std::string& w
       << what;
 }
 
-/// Two networks over copies of one initialized graph: `planned` executes
-/// through the arena, `naive` through per-node allocation.
+/// Two executors over copies of one initialized graph: `planned` runs
+/// through the arena, `reference` through per-node allocation.
 struct NetPair {
   Network planned;
-  Network naive;
+  ReferenceInterpreter reference;
 
-  explicit NetPair(const Graph& g) : planned(g), naive(g) {
-    planned.set_memory_planning(true);
-    naive.set_memory_planning(false);
-  }
+  explicit NetPair(const Graph& g) : planned(g), reference(g) {}
 };
 
 Graph initialized_trunk(zoo::NetId id, int resolution, unsigned seed) {
@@ -75,7 +75,7 @@ TEST_P(MemPlanZoo, InferenceBitIdenticalAcrossThreadCounts) {
     util::set_num_threads(threads);
     NetPair nets(g);
     const Tensor yp = nets.planned.forward(x);
-    const Tensor yn = nets.naive.forward(x);
+    const Tensor yn = nets.reference.forward(x);
     expect_bitwise_equal(yp, yn,
                          zoo::net_name(GetParam()) + " threads=" + std::to_string(threads));
   }
@@ -90,7 +90,7 @@ TEST_P(MemPlanZoo, ForwardCollectMatchesNaive) {
   for (const BlockInfo& b : g.blocks()) collect.push_back(b.last_node);
   NetPair nets(g);
   const auto ap = nets.planned.forward_collect(x, collect);
-  const auto an = nets.naive.forward_collect(x, collect);
+  const auto an = nets.reference.forward_collect(x, collect);
   ASSERT_EQ(ap.size(), an.size());
   for (std::size_t i = 0; i < ap.size(); ++i)
     expect_bitwise_equal(ap[i], an[i], "collect[" + std::to_string(i) + "]");
@@ -133,7 +133,7 @@ TEST_P(MemPlanZoo, BatchedForwardBitIdenticalToSingleImageForwards) {
     const std::vector<Tensor> batched = nets.planned.forward_batch(inputs);
     ASSERT_EQ(batched.size(), images.size());
     for (std::size_t i = 0; i < images.size(); ++i) {
-      const Tensor single = nets.naive.forward(images[i]);
+      const Tensor single = nets.reference.forward(images[i]);
       expect_bitwise_equal(batched[i], single,
                            zoo::net_name(GetParam()) + " lane " + std::to_string(i) +
                                " threads=" + std::to_string(threads));
@@ -184,7 +184,7 @@ TEST(MemPlan, EveryZooNetPlansBelowNaiveSum) {
 TEST(MemPlan, TrainForwardBackwardBitIdentical) {
   // TRN over a MobileNetV2 prefix: the retraining path. The head attaches
   // through the trunk cut, and train-mode passes must produce identical
-  // parameter gradients through either execution path.
+  // parameter gradients through either executor.
   PoolGuard guard;
   const Graph trunk = initialized_trunk(zoo::NetId::kMobileNetV2_100, 32, 31);
   const auto cuts = core::blockwise_cutpoints(trunk);
@@ -196,17 +196,17 @@ TEST(MemPlan, TrainForwardBackwardBitIdentical) {
     util::set_num_threads(threads);
     NetPair nets(trn);
     const Tensor yp = nets.planned.forward(x, /*train=*/true);
-    const Tensor yn = nets.naive.forward(x, /*train=*/true);
+    const Tensor yn = nets.reference.forward(x, /*train=*/true);
     expect_bitwise_equal(yp, yn, "train forward, threads=" + std::to_string(threads));
 
     util::Rng grad_rng(33);
     const Tensor gout = Tensor::randn(yp.shape(), grad_rng);
     nets.planned.zero_grads();
-    nets.naive.zero_grads();
+    nets.reference.zero_grads();
     nets.planned.backward(gout);
-    nets.naive.backward(gout);
+    nets.reference.backward(gout);
     const auto gp = nets.planned.grads();
-    const auto gn = nets.naive.grads();
+    const auto gn = nets.reference.grads();
     ASSERT_EQ(gp.size(), gn.size());
     for (std::size_t i = 0; i < gp.size(); ++i)
       expect_bitwise_equal(*gp[i], *gn[i], "grad[" + std::to_string(i) + "]");
@@ -232,30 +232,30 @@ TEST(MemPlan, MultiInputCombineBitIdentical) {
   for (const bool train : {false, true}) {
     NetPair nets(g);
     const Tensor yp = nets.planned.forward(x, train);
-    const Tensor yn = nets.naive.forward(x, train);
+    const Tensor yn = nets.reference.forward(x, train);
     expect_bitwise_equal(yp, yn, train ? "train" : "inference");
   }
 }
 
 TEST(MemPlan, RepeatedPlannedForwardsAllocateFarLess) {
   // The acceptance bar for the arena path: a steady-state planned forward
-  // performs at least 5x fewer heap allocations than a naive one. The first
-  // planned call builds the plan and sizes the arena, so measure from the
-  // second call on.
+  // performs at least 5x fewer heap allocations than the per-node reference
+  // interpreter. The first planned call builds the plan and sizes the arena,
+  // so measure from the second call on.
   const Graph g = initialized_trunk(zoo::NetId::kMobileNetV2_100, 32, 51);
   util::Rng rng(52);
   const Tensor x = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
 
   NetPair nets(g);
   (void)nets.planned.forward(x);  // warm-up: plan + arena + conv scratch
-  (void)nets.naive.forward(x);
+  (void)nets.reference.forward(x);
 
   const std::uint64_t p0 = tensor::tensor_alloc_count();
   const Tensor yp = nets.planned.forward(x);
   const std::uint64_t planned_allocs = tensor::tensor_alloc_count() - p0;
 
   const std::uint64_t n0 = tensor::tensor_alloc_count();
-  const Tensor yn = nets.naive.forward(x);
+  const Tensor yn = nets.reference.forward(x);
   const std::uint64_t naive_allocs = tensor::tensor_alloc_count() - n0;
 
   expect_bitwise_equal(yp, yn, "steady-state forward");
@@ -271,7 +271,6 @@ TEST(MemPlan, CollectedTensorsOutliveTheArena) {
   const Tensor x1 = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
   const Tensor x2 = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
   Network net(g);
-  net.set_memory_planning(true);
   std::vector<int> collect;
   for (const BlockInfo& b : net.graph().blocks()) collect.push_back(b.last_node);
   auto first = net.forward_collect(x1, collect);
@@ -280,6 +279,33 @@ TEST(MemPlan, CollectedTensorsOutliveTheArena) {
   (void)net.forward_collect(x2, collect);  // overwrites the arena
   for (std::size_t i = 0; i < first.size(); ++i)
     expect_bitwise_equal(first[i], snapshot[i], "harvested[" + std::to_string(i) + "]");
+}
+
+TEST(MemPlan, WrongInputShapeThrowsInsteadOfOverrunningTheArena) {
+  // The plan sizes every slot from the declared input shape. A larger image
+  // would write past its slots (a heap-buffer-overflow in the im2col of the
+  // first conv); a smaller one would silently compute on a truncated plan.
+  // Both must be rejected, by the single and the batched forward alike.
+  const Graph g = initialized_trunk(zoo::NetId::kResNet50, 32, 81);
+  Network net(g);
+  util::Rng rng(82);
+  for (const int px : {64, 16}) {
+    const Tensor x = Tensor::randn(Shape::chw(3, px, px), rng, 0.5f);
+    EXPECT_THROW(net.forward(x), std::invalid_argument) << px << " px";
+    EXPECT_THROW(net.forward_collect(x, {1}), std::invalid_argument) << px << " px";
+    EXPECT_THROW(net.forward_batch({&x, &x}), std::invalid_argument) << px << " px";
+    try {
+      net.forward(x);
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(Shape::chw(3, px, px).to_string()), std::string::npos) << what;
+      EXPECT_NE(what.find(Shape::chw(3, 32, 32).to_string()), std::string::npos) << what;
+    }
+  }
+  // The rejected calls left the network usable.
+  const Tensor ok = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
+  ReferenceInterpreter reference(g);
+  expect_bitwise_equal(net.forward(ok), reference.forward(ok), "after rejected inputs");
 }
 
 TEST(MemPlan, PlanIntervalsNeverAliasLiveBuffers) {

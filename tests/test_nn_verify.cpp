@@ -263,7 +263,6 @@ TEST(NnVerify, PoisonGuardCatchesUseBeforeWrite) {
   util::Rng rng(3);
   init_graph(g, rng);
   Network net(std::move(g));
-  net.set_memory_planning(true);
   const Tensor x = Tensor::randn(Shape::chw(2, 8, 8), rng, 0.5f);
 
   set_verify_mode(VerifyMode::kStatic);
@@ -308,14 +307,11 @@ TEST(NnVerify, RuntimeGuardCatchesNonFiniteActivations) {
   util::Rng rng(4);
   const Tensor x = Tensor::randn(Shape::chw(2, 4, 4), rng, 0.5f);
   set_verify_mode(VerifyMode::kRuntime);
-  for (const bool planned : {true, false}) {
-    net.set_memory_planning(planned);
-    try {
-      net.forward(x);
-      FAIL() << "numerics guard did not fire (planned=" << planned << ")";
-    } catch (const VerifyError& e) {
-      EXPECT_TRUE(e.report().has(rules::kNonFinite)) << e.what();
-    }
+  try {
+    net.forward(x);
+    FAIL() << "numerics guard did not fire";
+  } catch (const VerifyError& e) {
+    EXPECT_TRUE(e.report().has(rules::kNonFinite)) << e.what();
   }
 }
 
@@ -327,10 +323,7 @@ TEST(NnVerify, RuntimeGuardIsCleanOnARealNet) {
   init_graph(g, rng);
   Network net(std::move(g));
   const Tensor x = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
-  for (const bool planned : {true, false}) {
-    net.set_memory_planning(planned);
-    EXPECT_NO_THROW(net.forward(x)) << "planned=" << planned;
-  }
+  EXPECT_NO_THROW(net.forward(x));
 }
 
 TEST(NnVerify, IllegalCutSiteInsideABlockIsRejected) {
